@@ -38,7 +38,7 @@ import threading
 
 from repro.cluster.placement import PlacementMap
 from repro.concurrency import lockdep
-from repro.db.database import Database, QueryResult
+from repro.db.database import QueryResult
 from repro.db.executor import ResultSet
 from repro.db.functions import WorkCounters
 from repro.db.sql.ast import (
@@ -49,7 +49,7 @@ from repro.db.sql.ast import (
     Param,
     Select,
 )
-from repro.db.sql.parser import parse
+from repro.db.sql.statement import is_read_only, statement
 from repro.errors import ClusterError, ShardUnavailableError
 from repro.medical.server import MedicalServer
 from repro.net.rpc import RpcChannel
@@ -107,8 +107,8 @@ class ShardRouter:
             self.queries += 1
         metrics.counter("cluster.queries").inc()
         params = list(params) if params else []
-        stmt = parse(sql)
-        is_read = Database.statement_is_read(stmt)
+        parsed = statement(sql)
+        stmt, is_read = parsed.tree, parsed.is_read
         # Routing work runs on the caller thread inside the router's
         # metrics scope; shard legs run on shard worker threads inside
         # their own node scopes, so federation attributes each side.
@@ -205,7 +205,7 @@ class ShardRouter:
         if tables and all(PlacementMap.is_replicated(t) for t in tables):
             # Any shard holds the complete answer; reads take shard 0,
             # writes must broadcast to keep the replicas identical.
-            if isinstance(stmt, Select) or not _is_write(stmt):
+            if is_read_only(stmt):
                 return [self.shards[0]]
             return list(self.shards)
         study_ids = _study_id_conjuncts(getattr(stmt, "where", None), params)
@@ -294,7 +294,7 @@ class ShardRouter:
         columns = partials[0].columns
         if not isinstance(stmt, Select):
             rowcount = sum(p.rowcount for p in partials)
-            if _is_write(stmt) and _referenced_tables(stmt) and all(
+            if not is_read_only(stmt) and _referenced_tables(stmt) and all(
                 PlacementMap.is_replicated(t) for t in _referenced_tables(stmt)
             ):
                 # N physical copies of the same logical change.
@@ -453,11 +453,6 @@ class ShardRouter:
 # ---------------------------------------------------------------------- #
 # statement analysis helpers (pure functions over the AST)
 # ---------------------------------------------------------------------- #
-
-def _is_write(stmt) -> bool:
-    """Inverse of the Database read classification, for routing."""
-    return not Database.statement_is_read(stmt)
-
 
 def _referenced_tables(stmt) -> list[str]:
     """Lowercased names of the tables a statement touches (top level)."""

@@ -87,10 +87,6 @@ class Catalog:
         """All hash-index names, sorted."""
         return sorted(self._indexes)
 
-    def spatial_index_names(self) -> list[str]:
-        """All spatial-index names, sorted."""
-        return sorted(self._spatial)
-
     def spatial_index_defs(self) -> list[tuple[str, str, str]]:
         """``(name, table, column)`` of every spatial index, sorted by name."""
         return [

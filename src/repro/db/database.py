@@ -24,7 +24,7 @@ from repro.db.functions import (
 )
 from repro.db.mvcc import DatabaseVersion, VersionManager
 from repro.db.semantic import check
-from repro.db.sql.parser import parse
+from repro.db.sql.statement import statement
 from repro.errors import UnsupportedStatementError
 from repro.obs import metrics, recorder, trace
 from repro.obs.explain import PlanProfile, render_analyzed_plan
@@ -99,10 +99,9 @@ class Database:
     functions: FunctionRegistry = field(default_factory=FunctionRegistry)
     mvcc: bool = True
     #: default planner mode for every statement: "cost" (statistics-driven
-    #: join ordering, predicate reordering, spatial probes), "greedy" (the
-    #: legacy heuristic), or "naive" (FROM-order joins, conjuncts verbatim
-    #: — the differential-testing baseline).  Overridable per statement
-    #: via ``execute(..., planner=...)``.
+    #: join ordering, predicate reordering, spatial probes) or "naive"
+    #: (FROM-order joins, conjuncts verbatim — the differential-testing
+    #: baseline).  Overridable per statement via ``execute(..., planner=...)``.
     planner: str = "cost"
 
     def __post_init__(self) -> None:
@@ -217,13 +216,6 @@ class Database:
         """
         self._versions.publish(self.catalog, self.lfm)
 
-    @staticmethod
-    def statement_is_read(stmt) -> bool:
-        """Does this parsed statement only read (SELECT / EXPLAIN)?"""
-        from repro.db.sql.ast import Explain, Select
-
-        return isinstance(stmt, (Select, Explain))
-
     def execute(self, sql: str, params: list | None = None,
                 functions: FunctionRegistry | None = None,
                 version: DatabaseVersion | None = None,
@@ -256,12 +248,10 @@ class Database:
         """
         import time
 
-        from repro.db.sql.ast import Explain
-
-        stmt = parse(sql)
+        parsed = statement(sql)
+        stmt, is_read = parsed.tree, parsed.is_read
         registry = functions if functions is not None else self.functions
         mode = planner if planner is not None else self.planner
-        is_read = self.statement_is_read(stmt)
         # The flight recorder's statement scope: when the serving layer
         # already opened one on this thread (it owns session/pool-wait
         # attribution), the notes below land on that record instead.
@@ -273,7 +263,7 @@ class Database:
                 try:
                     with rec:
                         return self._execute_pinned(
-                            stmt, list(params or ()), sql, registry, rec,
+                            parsed, list(params or ()), sql, registry, rec,
                             pinned, mode,
                         )
                 finally:
@@ -282,7 +272,7 @@ class Database:
         lock = self._rwlock.read() if is_read else self._rwlock.write()
         with rec, lock:
             check(stmt, self.catalog, registry)
-            if isinstance(stmt, Explain):
+            if parsed.is_explain:
                 result = self._execute_explain(stmt, list(params or ()), sql,
                                                registry, mode=mode)
                 rec.note(rows=len(result.rows), io=result.io, kind="explain",
@@ -314,7 +304,7 @@ class Database:
             return QueryResult(result=result, work=ctx.work, io=io_delta,
                                sql=sql)
 
-    def _execute_pinned(self, stmt, params: list, sql: str,
+    def _execute_pinned(self, parsed, params: list, sql: str,
                         registry: FunctionRegistry, rec,
                         pinned: DatabaseVersion,
                         mode: str | None = None) -> QueryResult:
@@ -328,13 +318,12 @@ class Database:
         """
         import time
 
-        from repro.db.sql.ast import Explain
-
+        stmt = parsed.tree
         catalog = pinned.catalog
         check(stmt, catalog, registry)
         lfm_view = (FieldTableView(self.lfm, pinned.fields)
                     if self.lfm is not None else None)
-        if isinstance(stmt, Explain):
+        if parsed.is_explain:
             result = self._execute_explain(stmt, params, sql, registry,
                                            catalog=catalog, lfm=lfm_view,
                                            mode=mode)
@@ -417,8 +406,8 @@ class Database:
 
     def executemany(self, sql: str, param_rows: list[list]) -> int:
         """Run one parameterized statement repeatedly; returns total rowcount."""
-        stmt = parse(sql)
-        is_read = self.statement_is_read(stmt)
+        parsed = statement(sql)
+        stmt, is_read = parsed.tree, parsed.is_read
         lock = self._rwlock.read() if is_read else self._rwlock.write()
         with lock:
             check(stmt, self.catalog, self.functions)
@@ -440,7 +429,7 @@ class Database:
         from repro.db.planner import plan_select
         from repro.db.sql.ast import Explain, Select
 
-        stmt = parse(sql)
+        stmt = statement(sql).tree
         if isinstance(stmt, Explain):  # accept an explicit "EXPLAIN ..." too
             stmt = stmt.statement
         if not isinstance(stmt, Select):
@@ -453,8 +442,9 @@ class Database:
         """Run only the static pass; returns the list of diagnostics."""
         from repro.db.semantic import analyze as _analyze
 
+        stmt = statement(sql).tree
         with self._rwlock.read():
-            return _analyze(parse(sql), self.catalog, self.functions)
+            return _analyze(stmt, self.catalog, self.functions)
 
     def transaction(self, on_publish=None):
         """Scope several statements into one storage transaction.

@@ -612,10 +612,6 @@ class SpatialIndex:
             hits.extend(buckets.get(value, ()))
         return hits
 
-    def cell_count(self) -> int:
-        """Number of distinct indexed region values."""
-        return len(self._cells)
-
     def __repr__(self) -> str:
         return (f"SpatialIndex({self.name} on "
                 f"{self.table_name}.{self.column}, {len(self._cells)} cells)")

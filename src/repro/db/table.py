@@ -169,10 +169,6 @@ class Table:
             return [row for row in self._rows if row[position] == value]
         return buckets.get(key, [])
 
-    def indexed_columns(self) -> list[str]:
-        """Names of the indexed columns, in schema order."""
-        return [self.schema.columns[p].name for p in sorted(self._indexes)]
-
     def spatial_index_on(self, column: str) -> SpatialIndex | None:
         """The spatial index over ``column``, if one exists."""
         return self.spatial.get(column.lower())

@@ -4,9 +4,11 @@ The flight recorder remembers *individual* statements; operating a fleet
 needs the orthogonal view — "which query **shape** is burning the page-I/O
 budget?".  Every completed :class:`~repro.obs.recorder.QueryRecord` is
 folded into a bounded :class:`DigestTable` keyed by a **fingerprint** of
-the statement with its constants normalized away: the SQL is parsed, every
-literal is replaced by a ``?`` placeholder, and the canonical unparse of
-that skeleton is hashed.  ``SELECT v FROM t WHERE s = 'pet1'`` and
+the statement with its constants normalized away: every literal in the
+parse tree is replaced by a ``?`` placeholder, and the canonical unparse
+of that skeleton is hashed (the statement cache,
+:mod:`repro.db.sql.statement`, computes both once per SQL text).
+``SELECT v FROM t WHERE s = 'pet1'`` and
 ``... = 'pet2'`` therefore share one digest row carrying calls, errors,
 rows, page I/O, cache-hit rate, a latency histogram, and per-shard call
 counts (cluster legs tag their records with the serving shard).
@@ -23,14 +25,12 @@ which :mod:`repro.obs` must not load at package-import time.
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
 import re
 import threading
 import time
-from collections import OrderedDict
 
 from repro.concurrency import lockdep
+from repro.db.sql.statement import fingerprint, statement
 from repro.errors import ReproError
 from repro.obs import metrics
 
@@ -50,48 +50,25 @@ __all__ = [
 _WS_RE = re.compile(r"\s+")
 
 
+def _key(sql: str) -> tuple[str, str]:
+    """(digest, normalized) for raw SQL, from the statement cache."""
+    try:
+        parsed = statement(sql)
+    except ReproError:
+        normalized = _WS_RE.sub(" ", sql).strip()
+        return fingerprint(normalized), normalized
+    return parsed.fingerprint, parsed.normalized
+
+
 def normalize(sql: str) -> str:
     """The statement's shape: canonical unparse with literals -> ``?``.
 
-    Parses ``sql``, replaces every literal constant (and any already-bound
-    parameter) with an anonymous ``?`` placeholder, and unparses the
-    skeleton — so statements differing only in constants normalize to the
-    same text.  Unparseable input degrades to uppercase-keyword-free
+    Every literal constant (and any already-bound parameter) becomes an
+    anonymous ``?`` placeholder, so statements differing only in
+    constants normalize to the same text.  Unparseable input degrades to
     whitespace collapsing (still stable, just less collapsing).
     """
-    from repro.db.sql import ast as ast_mod
-    from repro.db.sql.parser import parse
-    from repro.db.sql.unparse import unparse
-
-    def strip(node):
-        if isinstance(node, (ast_mod.Literal, ast_mod.Param)):
-            return ast_mod.Param(0)
-        if dataclasses.is_dataclass(node) and not isinstance(node, type):
-            changes = {}
-            for f in dataclasses.fields(node):
-                if f.name == "span":
-                    continue
-                value = getattr(node, f.name)
-                stripped = strip(value)
-                if stripped is not value:
-                    changes[f.name] = stripped
-            return dataclasses.replace(node, **changes) if changes else node
-        if isinstance(node, tuple):
-            stripped = tuple(strip(item) for item in node)
-            return stripped if stripped != node else node
-        if isinstance(node, list):
-            return [strip(item) for item in node]
-        return node
-
-    try:
-        return unparse(strip(parse(sql)))
-    except ReproError:
-        return _WS_RE.sub(" ", sql).strip()
-
-
-def fingerprint(normalized: str) -> str:
-    """A short stable digest id for a normalized statement."""
-    return hashlib.sha256(normalized.encode("utf-8")).hexdigest()[:16]
+    return _key(sql)[1]
 
 
 class DigestEntry:
@@ -141,35 +118,17 @@ class DigestTable:
 
     When full, observing a *new* shape evicts the coldest row (fewest
     calls, oldest on ties) — the hot statement classes an operator cares
-    about stay put.  A small LRU memo caches raw SQL -> (digest,
-    normalized) so the steady-state cost per statement is one dict hit
-    plus counter bumps.
+    about stay put.  The digest and normalized text of a statement come
+    from the process-wide statement cache, so the steady-state cost per
+    statement is one dict hit plus counter bumps.
     """
 
-    def __init__(self, capacity: int = 128, memo_capacity: int = 512):
+    def __init__(self, capacity: int = 128):
         self.capacity = capacity
         self.enabled = True
         self._entries: dict[str, DigestEntry] = {}
-        self._memo: OrderedDict[str, tuple[str, str]] = OrderedDict()
-        self._memo_capacity = memo_capacity
         # guarded_by: self._lock
         self._lock = lockdep.instrument(threading.Lock(), "obs.digest")
-
-    def _key(self, sql: str) -> tuple[str, str]:
-        """(digest, normalized) for raw SQL, via the LRU memo."""
-        with self._lock:
-            hit = self._memo.get(sql)
-            if hit is not None:
-                self._memo.move_to_end(sql)
-                return hit
-        normalized = normalize(sql)
-        key = (fingerprint(normalized), normalized)
-        with self._lock:
-            self._memo[sql] = key
-            self._memo.move_to_end(sql)
-            while len(self._memo) > self._memo_capacity:
-                self._memo.popitem(last=False)
-        return key
 
     def observe(self, record) -> str | None:
         """Fold one completed statement record into its digest row.
@@ -180,7 +139,7 @@ class DigestTable:
         """
         if not self.enabled:
             return None
-        digest, normalized = self._key(record.sql)
+        digest, normalized = _key(record.sql)
         with self._lock:
             entry = self._entries.get(digest)
             if entry is None:
@@ -234,10 +193,9 @@ class DigestTable:
             return len(self._entries)
 
     def reset(self) -> None:
-        """Forget every row and memo entry (capacity/enabled untouched)."""
+        """Forget every row (capacity/enabled untouched)."""
         with self._lock:
             self._entries.clear()
-            self._memo.clear()
 
 
 _TABLE = DigestTable()

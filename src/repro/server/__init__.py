@@ -15,9 +15,10 @@ HTTP surface: ``/metrics`` in Prometheus text, ``/healthz``,
 ``/sessions``, ``/queries/recent``, ``/incidents``.
 """
 
+from repro.db.sql.statement import referenced_tables
 from repro.server.admin import AdminServer
 from repro.server.pool import REJECTION_POLICIES, WorkerPool
-from repro.server.resultcache import CachedResult, ResultCache, referenced_tables
+from repro.server.resultcache import CachedResult, ResultCache
 from repro.server.server import QueryServer
 from repro.server.session import Session, SessionFunctions
 

@@ -27,80 +27,10 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from repro.db.sql.ast import (
-    Exists,
-    Explain,
-    Expr,
-    InSubquery,
-    Insert,
-    Select,
-    Subquery,
-)
 from repro.errors import ValidationError
 from repro.obs import metrics
 
-__all__ = ["CachedResult", "ResultCache", "referenced_tables", "cache_key"]
-
-
-def referenced_tables(stmt) -> frozenset[str]:
-    """Every table name a statement touches, lowercased.
-
-    Covers FROM lists, subqueries (scalar, ``IN``, ``EXISTS``), and the
-    target tables of DML/DDL — the set a cached SELECT must be dropped
-    for when any of them is written.
-    """
-    names: set[str] = set()
-    _collect_tables(stmt, names)
-    return frozenset(names)
-
-
-def _collect_tables(node, names: set[str]) -> None:
-    if node is None:
-        return
-    if isinstance(node, Explain):
-        _collect_tables(node.statement, names)
-        return
-    if isinstance(node, Select):
-        for ref in node.tables:
-            names.add(ref.name.lower())
-        for item in node.items:
-            _collect_expr(item.expr, names)
-        _collect_expr(node.where, names)
-        for expr in node.group_by:
-            _collect_expr(expr, names)
-        _collect_expr(node.having, names)
-        for item in node.order_by:
-            _collect_expr(item.expr, names)
-        return
-    table = getattr(node, "table", None)
-    if isinstance(table, str):
-        names.add(table.lower())
-    if isinstance(node, Insert):
-        for row in node.rows:
-            for expr in row:
-                _collect_expr(expr, names)
-    where = getattr(node, "where", None)
-    if where is not None:
-        _collect_expr(where, names)
-
-
-def _collect_expr(expr, names: set[str]) -> None:
-    if expr is None or not isinstance(expr, Expr):
-        return
-    if isinstance(expr, (Subquery,)):
-        _collect_tables(expr.select, names)
-        return
-    if isinstance(expr, (InSubquery, Exists)):
-        _collect_tables(expr.subquery, names)
-        if isinstance(expr, InSubquery):
-            _collect_expr(expr.value, names)
-        return
-    for child in vars(expr).values():
-        if isinstance(child, Expr):
-            _collect_expr(child, names)
-        elif isinstance(child, tuple):
-            for element in child:
-                _collect_expr(element, names)
+__all__ = ["CachedResult", "ResultCache", "cache_key"]
 
 
 def cache_key(canonical_sql: str, params) -> tuple:

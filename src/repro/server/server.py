@@ -31,64 +31,22 @@ active sessions, result-cache hit rate) and per-statement
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from contextlib import nullcontext
-from dataclasses import dataclass
 
 from repro.db.database import Database, QueryResult
 from repro.db.executor import ResultSet
 from repro.db.functions import WorkCounters
-from repro.db.sql.ast import Explain, FuncCall
-from repro.db.sql.parser import parse
-from repro.db.sql.unparse import unparse
+from repro.db.sql.statement import ParsedStatement, statement
 from repro.concurrency import lockdep
 from repro.errors import ServerError
 from repro.net.rpc import RpcChannel
 from repro.obs import metrics, recorder, trace
 from repro.server.pool import WorkerPool, current_wait_seconds
-from repro.server.resultcache import (
-    CachedResult,
-    ResultCache,
-    cache_key,
-    referenced_tables,
-)
+from repro.server.resultcache import CachedResult, ResultCache, cache_key
 from repro.server.session import Session
 from repro.storage.device import IOStats
 
 __all__ = ["QueryServer"]
-
-
-def _called_functions(node, out: set[str] | None = None) -> frozenset[str]:
-    """Lower-cased names of every function the statement tree calls."""
-    if out is None:
-        out = set()
-    if isinstance(node, FuncCall):
-        out.add(node.name.lower())
-    children = vars(node).values() if hasattr(node, "__dict__") else ()
-    for child in children:
-        if isinstance(child, tuple):
-            for element in child:
-                if hasattr(element, "__dict__"):
-                    _called_functions(element, out)
-        elif hasattr(child, "__dict__"):
-            _called_functions(child, out)
-    return frozenset(out)
-
-
-@dataclass(frozen=True)
-class _StatementInfo:
-    """Everything the dispatch path needs to know about one SQL text.
-
-    Memoized per raw statement text so repeat traffic — the whole point
-    of a serving layer — skips parse and unparse entirely; a cache hit
-    is a couple of dict lookups.
-    """
-
-    is_read: bool
-    is_explain: bool
-    canonical: str
-    tables: frozenset
-    funcs: frozenset
 
 
 class QueryServer:
@@ -116,9 +74,6 @@ class QueryServer:
         self._lock = lockdep.instrument(threading.Lock(), "server.sessions")
         self._next_session_id = 1  # guarded_by: _lock
         self._closed = False  # guarded_by: _lock
-        self._stmt_info: OrderedDict[str, _StatementInfo] = OrderedDict()  # guarded_by: _stmt_lock
-        self._stmt_lock = lockdep.instrument(threading.Lock(), "server.stmt_memo")
-        self._stmt_capacity = max(cache_capacity, 64)
         self._admin = None  # guarded_by: _lock
 
     # ------------------------------------------------------------------ #
@@ -241,32 +196,9 @@ class QueryServer:
         leg.record.wall_seconds += wait
         return result
 
-    def _statement_info(self, sql: str) -> _StatementInfo:
-        """Memoized parse of one raw statement text (LRU-bounded)."""
-        with self._stmt_lock:
-            info = self._stmt_info.get(sql)
-            if info is not None:
-                self._stmt_info.move_to_end(sql)
-                metrics.counter("server.stmt_memo.hits").inc()
-                return info
-        metrics.counter("server.stmt_memo.misses").inc()
-        stmt = parse(sql)
-        info = _StatementInfo(
-            is_read=Database.statement_is_read(stmt),
-            is_explain=isinstance(stmt, Explain),
-            canonical=unparse(stmt),
-            tables=referenced_tables(stmt),
-            funcs=_called_functions(stmt),
-        )
-        with self._stmt_lock:
-            self._stmt_info[sql] = info
-            if len(self._stmt_info) > self._stmt_capacity:
-                self._stmt_info.popitem(last=False)
-        return info
-
     def _execute(self, session: Session, sql: str,
                  params: list | None) -> QueryResult:
-        info = self._statement_info(sql)
+        info = statement(sql)
         registry = session.functions
         if not info.is_read:
             return self._execute_write(info, session, sql, params)
@@ -277,7 +209,7 @@ class QueryServer:
             # A statement calling a session-local UDF must not land in the
             # shared cache: another session may bind the same name to
             # different code.
-            and not (local and (info.funcs & local))
+            and not (local and (info.functions & local))
         )
         if not cacheable:
             # Database.execute pins an MVCC snapshot itself (or falls back
@@ -319,7 +251,7 @@ class QueryServer:
             ))
             return result
 
-    def _execute_write(self, info: _StatementInfo, session: Session, sql: str,
+    def _execute_write(self, info: ParsedStatement, session: Session, sql: str,
                        params: list | None) -> QueryResult:
         """Exclusive path: transaction-scoped write + cache invalidation."""
         if self.db.mvcc:

@@ -306,6 +306,20 @@ class TestRouterSurface:
             ).rows
             assert rows == [("cluster-test",)]
 
+    def test_routed_text_parsed_once(self, cluster2, monkeypatch):
+        from repro.db.sql import parser
+
+        calls: list[str] = []
+        real = parser.parse
+        monkeypatch.setattr(parser, "parse",
+                            lambda sql: calls.append(sql) or real(sql))
+        # broadcast to both shards; the alias keeps the text new to the
+        # process-wide statement cache
+        sql = "select count(*) as routed_once from rawVolume"
+        first = cluster2.execute(sql).rows
+        assert cluster2.execute(sql).rows == first
+        assert calls.count(sql) == 1
+
     def test_closed_router_refuses(self):
         with build_demo_cluster(n_shards=1, grid_side=16,
                                 n_pet=1, n_mri=0) as cluster:

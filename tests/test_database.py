@@ -7,6 +7,7 @@ import pytest
 from repro.db import Database, SqlType
 from repro.db.sql import parse
 from repro.db.planner import columns_in, conjuncts_of, plan_select
+from repro.db.sql.statement import get_cache, statement
 from repro.errors import (
     CatalogError,
     ExecutionError,
@@ -367,3 +368,75 @@ class TestPlanner:
         result = db.execute("select * from patient")
         assert result.work.rows_scanned == 3
         assert result.work.rows_output == 3
+
+
+@pytest.fixture
+def parse_calls(monkeypatch):
+    """Count calls to the uncached parser (the statement cache's miss path)."""
+    from repro.db.sql import parser
+
+    calls: list[str] = []
+    real = parser.parse
+
+    def counting(sql):
+        calls.append(sql)
+        return real(sql)
+
+    monkeypatch.setattr(parser, "parse", counting)
+    return calls
+
+
+class TestStatementCache:
+    def test_served_text_parsed_once_with_digests_on(self, db, parse_calls):
+        from repro.obs import digest, recorder
+        from repro.server import QueryServer
+
+        assert digest.is_enabled() and recorder.get_recorder().enabled
+        # process-wide cache: an alias no other test uses keeps the text new
+        sql = "select count(*) as served_once from patient"
+        with QueryServer(db, workers=1, result_cache=False) as server:
+            with server.connect() as session:
+                assert session.execute(sql).scalar() == 3
+                assert session.execute(sql).scalar() == 3
+        assert parse_calls.count(sql) == 1
+        row = digest.get_table().get(statement(sql).fingerprint)
+        assert row is not None and row["calls"] >= 2
+
+    def test_cached_select_sees_drop_and_recreate(self, db):
+        sql = "select * from t_recreated"
+        db.execute("create table t_recreated (a integer)")
+        db.execute("insert into t_recreated values (1)")
+        assert db.execute(sql).rows == [(1,)]
+        assert sql in get_cache()
+        db.execute("drop table t_recreated")
+        with pytest.raises(CatalogError) as err:
+            db.execute(sql)
+        assert err.value.code == "QB101"
+        db.execute("create table t_recreated (a integer, b text)")
+        db.execute("insert into t_recreated values (2, 'x')")
+        result = db.execute(sql)
+        assert result.columns == ["a", "b"]
+        assert result.rows == [(2, "x")]
+
+    def test_parse_error_is_typed_and_never_cached(self, db, parse_calls):
+        from repro.errors import ReproError
+
+        sql = "select from where"
+        raised = []
+        for _ in range(2):
+            with pytest.raises(ReproError) as err:
+                db.execute(sql)
+            raised.append(type(err.value))
+        assert raised[0] is raised[1]
+        assert sql not in get_cache()
+        assert parse_calls.count(sql) == 2
+
+    def test_bounded(self):
+        from repro.db.sql.statement import CAPACITY
+
+        texts = [f"select {i} as bounded_{i} from patient"
+                 for i in range(CAPACITY + 1)]
+        for sql in texts:
+            statement(sql)
+        assert len(get_cache()) == CAPACITY
+        assert texts[0] not in get_cache() and texts[-1] in get_cache()

@@ -369,5 +369,8 @@ class TestNaivePlanShape:
     def test_unknown_planner_mode_rejected(self, system):
         from repro.errors import CatalogError
 
-        with pytest.raises(CatalogError):
-            system.db.execute("select p.name from patient p", planner="bogus")
+        # "greedy" is only the cost mode's wide-join fallback, not a mode
+        for mode in ("bogus", "greedy"):
+            with pytest.raises(CatalogError):
+                system.db.execute("select p.name from patient p",
+                                  planner=mode)
